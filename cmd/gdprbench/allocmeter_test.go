@@ -44,6 +44,12 @@ func TestAllocMeterScopedToSection(t *testing.T) {
 	if got < 1 || got >= 10 {
 		t.Fatalf("allocsPerOp = %.2f, want [1, 10): section scoping leaked outside allocations", got)
 	}
+	// 16 B per op plus, at most, one regrowth of the 10k-entry sink
+	// (~300 KiB, ~300 B/op); the ~5 KiB/op of outside garbage must not
+	// show.
+	if b := m.bytesPerOp(); b < 16 || b >= 1024 {
+		t.Fatalf("bytesPerOp = %.1f, want [16, 1024): section scoping leaked outside bytes", b)
+	}
 	sink = nil
 }
 
@@ -59,6 +65,9 @@ func TestAllocMeterErrorChargesNothing(t *testing.T) {
 	}
 	if got := m.allocsPerOp(); got != 0 {
 		t.Fatalf("failed section charged the meter: %.2f allocs/op", got)
+	}
+	if got := m.bytesPerOp(); got != 0 {
+		t.Fatalf("failed section charged the meter: %.2f bytes/op", got)
 	}
 	sink = nil
 }

@@ -38,14 +38,17 @@ type jsonReport struct {
 	// AllocsPerOp is the client process's heap allocations per workload
 	// operation, metered around each timed loop alone (load-phase and
 	// reporting allocations excluded).
-	AllocsPerOp float64        `json:"allocs_per_op"`
-	Load        jsonLoad       `json:"load"`
-	Workloads   []jsonWorkload `json:"workloads"`
-	Space       jsonSpace      `json:"space"`
-	Audit       *jsonAudit     `json:"audit,omitempty"`
-	Kvstore     *jsonKvstore   `json:"kvstore,omitempty"`
-	Server      *jsonServer    `json:"server,omitempty"`
-	Slowlog     []jsonSlowOp   `json:"slowlog,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	// BytesPerOp is the heap bytes behind those allocations, per
+	// operation (runtime.MemStats.TotalAlloc over the same sections).
+	BytesPerOp float64        `json:"bytes_per_op"`
+	Load       jsonLoad       `json:"load"`
+	Workloads  []jsonWorkload `json:"workloads"`
+	Space      jsonSpace      `json:"space"`
+	Audit      *jsonAudit     `json:"audit,omitempty"`
+	Kvstore    *jsonKvstore   `json:"kvstore,omitempty"`
+	Server     *jsonServer    `json:"server,omitempty"`
+	Slowlog    []jsonSlowOp   `json:"slowlog,omitempty"`
 }
 
 // jsonAudit is the audit pipeline's accounting for the run. For remote
@@ -258,7 +261,7 @@ func slowlogBlock(snap obs.Snapshot) []jsonSlowOp {
 	return out
 }
 
-func writeJSONReport(path string, opts options, label string, db gdprbench.DB, loadRun *stats.Run, report core.Report, runs map[gdprbench.WorkloadName]*stats.Run, allocsPerOp float64) error {
+func writeJSONReport(path string, opts options, label string, db gdprbench.DB, loadRun *stats.Run, report core.Report, runs map[gdprbench.WorkloadName]*stats.Run, meter *allocMeter) error {
 	snap := obsSnapshot(db, opts.connect != "")
 	out := jsonReport{
 		Engine:            label,
@@ -270,7 +273,8 @@ func writeJSONReport(path string, opts options, label string, db gdprbench.DB, l
 		OpenLoop:          opts.arrivalRate > 0,
 		ArrivalRate:       opts.arrivalRate,
 		RSSHighWaterBytes: rssHighWaterBytes(),
-		AllocsPerOp:       allocsPerOp,
+		AllocsPerOp:       meter.allocsPerOp(),
+		BytesPerOp:        meter.bytesPerOp(),
 		Audit:             auditBlock(db, opts),
 		Kvstore:           kvstoreBlock(snap),
 		Server:            serverBlock(snap),

@@ -446,7 +446,6 @@ func runTimed(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, nam
 			Correctness:    -1,
 		})
 	}
-	allocsPerOp := meter.allocsPerOp()
 
 	space, err := db.SpaceUsage()
 	if err != nil {
@@ -456,7 +455,7 @@ func runTimed(opts options, comp gdprbench.Compliance, cfg gdprbench.Config, nam
 	fmt.Print(report)
 
 	if opts.jsonPath != "" {
-		if err := writeJSONReport(opts.jsonPath, opts, label, db, loadRun, report, runs, allocsPerOp); err != nil {
+		if err := writeJSONReport(opts.jsonPath, opts, label, db, loadRun, report, runs, &meter); err != nil {
 			return fmt.Errorf("-json: %w", err)
 		}
 		fmt.Printf("wrote %s\n", opts.jsonPath)

@@ -120,25 +120,57 @@ type Entry struct {
 	Note string
 }
 
-// encode renders an entry as one tab-separated line. Tabs and newlines in
-// fields are escaped so the format is unambiguous (and so batch frames
-// can join entries with newlines).
-func (e Entry) encode() []byte {
-	esc := func(s string) string {
-		s = strings.ReplaceAll(s, "\\", `\\`)
-		s = strings.ReplaceAll(s, "\t", `\t`)
-		s = strings.ReplaceAll(s, "\n", `\n`)
-		return s
-	}
-	ok := "0"
+// appendEntry appends e rendered as one tab-separated line to dst and
+// returns the extended buffer. Tabs, newlines and backslashes in fields
+// are escaped so the format is unambiguous (and so batch frames can join
+// entries with newlines). It is the trail's only encoder: callers own dst
+// and reuse it, so encoding allocates only when dst must grow.
+func appendEntry(dst []byte, e Entry) []byte {
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	dst = append(dst, '\t')
+	dst = strconv.AppendInt(dst, e.Time.UnixNano(), 10)
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, e.Actor)
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, e.Op)
+	dst = append(dst, '\t')
+	dst = appendEscaped(dst, e.Target)
 	if e.OK {
-		ok = "1"
+		dst = append(dst, "\t1\t"...)
+	} else {
+		dst = append(dst, "\t0\t"...)
 	}
-	return []byte(strings.Join([]string{
-		strconv.FormatUint(e.Seq, 10),
-		strconv.FormatInt(e.Time.UnixNano(), 10),
-		esc(e.Actor), esc(e.Op), esc(e.Target), ok, esc(e.Note),
-	}, "\t"))
+	return appendEscaped(dst, e.Note)
+}
+
+// appendEscaped appends s with '\\', '\t' and '\n' escaped, copying the
+// runs between escapes in bulk.
+func appendEscaped(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc byte
+		switch s[i] {
+		case '\\':
+			esc = '\\'
+		case '\t':
+			esc = 't'
+		case '\n':
+			esc = 'n'
+		default:
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, '\\', esc)
+		start = i + 1
+	}
+	return append(dst, s[start:]...)
+}
+
+// encodedLen reports how many bytes e encodes to. The scratch buffer
+// stays on the stack unless the entry outgrows it.
+func encodedLen(e Entry) int {
+	var scratch [256]byte
+	return len(appendEntry(scratch[:0], e))
 }
 
 func unescape(s string) string {
@@ -166,7 +198,7 @@ func unescape(s string) string {
 	return b.String()
 }
 
-// decodeEntry parses a line produced by encode.
+// decodeEntry parses a line produced by appendEntry.
 func decodeEntry(line []byte) (Entry, error) {
 	parts := strings.SplitN(string(line), "\t", 7)
 	if len(parts) != 7 {

@@ -229,7 +229,7 @@ func TestEntryEncodingEscapes(t *testing.T) {
 		Seq: 7, Time: time.Unix(1, 2).UTC(),
 		Actor: "a\tb", Op: "o\np", Target: `t\q`, OK: true, Note: "n\t\n\\",
 	}
-	got, err := decodeEntry(e.encode())
+	got, err := decodeEntry(appendEntry(nil, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestEntryEncodingEscapes(t *testing.T) {
 func TestEntryEncodingProperty(t *testing.T) {
 	f := func(actor, op, target, note string, ok bool, seq uint64, ns int64) bool {
 		e := Entry{Seq: seq, Time: time.Unix(0, ns).UTC(), Actor: actor, Op: op, Target: target, OK: ok, Note: note}
-		got, err := decodeEntry(e.encode())
+		got, err := decodeEntry(appendEntry(nil, e))
 		return err == nil && got == e
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -255,14 +255,12 @@ func TestBatchEncodingRoundTrip(t *testing.T) {
 		{Seq: 2, Time: time.Unix(0, 6).UTC(), Actor: "c", Op: "y\t", Note: "multi\nline"},
 		{Seq: 3, Time: time.Unix(0, 7).UTC(), OK: true},
 	}
-	frame, lens := encodeBatch(batch)
-	for i := range batch {
-		if lens[i] != len(batch[i].encode()) {
-			t.Fatalf("entry %d encoded length = %d, want %d", i, lens[i], len(batch[i].encode()))
-		}
-	}
+	frame := encodeBatch(nil, batch)
 	var got []Entry
-	if err := decodeBatch(frame, func(e Entry) error {
+	if err := decodeBatch(frame, func(e Entry, n int) error {
+		if want := len(appendEntry(nil, e)); n != want {
+			t.Fatalf("entry %d encoded length = %d, want %d", len(got), n, want)
+		}
 		got = append(got, e)
 		return nil
 	}); err != nil {

@@ -19,11 +19,11 @@ func rawFrame(payload []byte) []byte {
 
 // validSegmentBytes builds an intact two-batch segment file's raw bytes.
 func validSegmentBytes() []byte {
-	b1, _ := encodeBatch([]Entry{
+	b1 := encodeBatch(nil, []Entry{
 		{Seq: 1, Time: time.Unix(0, 1).UTC(), Actor: "controller:acme", Op: "CREATE-RECORD", Target: "k1", OK: true},
 		{Seq: 2, Time: time.Unix(0, 2).UTC(), Actor: "customer:neo", Op: "READ-DATA", Target: "k1", OK: true, Note: "n=1"},
 	})
-	b2, _ := encodeBatch([]Entry{
+	b2 := encodeBatch(nil, []Entry{
 		{Seq: 3, Time: time.Unix(0, 3).UTC(), Actor: "regulator:dpa", Op: "GET-SYSTEM-LOGS", Target: "0..3", OK: true},
 	})
 	return append(rawFrame(b1), rawFrame(b2)...)
@@ -46,7 +46,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		// Replay: errors are fine, panics and malformed entries are not.
 		_ = Replay(base, nil, func(e Entry) error {
-			if _, err := decodeEntry(e.encode()); err != nil {
+			if _, err := decodeEntry(appendEntry(nil, e)); err != nil {
 				t.Fatalf("replay delivered an entry that does not re-encode: %+v: %v", e, err)
 			}
 			return nil

@@ -111,6 +111,7 @@ type Log struct {
 
 	// Staging (pipeline modes only).
 	stripes   []stripe
+	batch     []Entry       // consume's batch buffer, owned by the writer goroutine
 	slots     chan struct{} // backpressure semaphore
 	notify    chan struct{} // writer wake-up, capacity 1
 	quit      chan struct{}
@@ -223,18 +224,19 @@ func (l *Log) appendSync(e Entry) (Entry, error) {
 	l.nextSeq++
 	e.Seq = l.nextSeq
 	e.Time = l.clk.Now()
+	batch := []Entry{e}
 	var encoded int64
 	if l.store != nil {
-		n, err := l.store.append([]Entry{e})
+		n, err := l.store.append(batch)
 		if err != nil {
 			l.fail(err)
 			return e, err
 		}
 		encoded = n
 	} else {
-		encoded = int64(len(e.encode()))
+		encoded = int64(encodedLen(e))
 	}
-	l.publish([]Entry{e}, encoded)
+	l.publish(batch, encoded)
 	if l.store != nil {
 		l.maybeCompact()
 	}
@@ -487,7 +489,7 @@ func (l *Log) consume(reorder map[uint64]Entry) {
 	l.mu.Lock()
 	next := l.written + 1
 	l.mu.Unlock()
-	var batch []Entry
+	batch := l.batch[:0]
 	for {
 		e, ok := reorder[next]
 		if !ok {
@@ -497,6 +499,7 @@ func (l *Log) consume(reorder map[uint64]Entry) {
 		batch = append(batch, e)
 		next++
 	}
+	l.batch = batch
 	if len(batch) == 0 {
 		return
 	}
@@ -518,7 +521,7 @@ func (l *Log) writeBatch(batch []Entry) {
 		encoded = n
 	} else {
 		for _, e := range batch {
-			encoded += int64(len(e.encode()))
+			encoded += int64(encodedLen(e))
 		}
 	}
 	last := batch[len(batch)-1].Seq
@@ -673,16 +676,14 @@ func (l *Log) Range(from, to time.Time) ([]Entry, error) {
 			return nil, err
 		}
 	}
+	// Tail order is time order, so [from, to] is one contiguous run of it.
 	lo := sort.Search(len(tail), func(i int) bool {
 		return !tail[i].Time.Before(from)
 	})
-	for _, e := range tail[lo:] {
-		if e.Time.After(to) {
-			break
-		}
-		out = append(out, e)
-	}
-	return out, nil
+	hi := lo + sort.Search(len(tail)-lo, func(i int) bool {
+		return tail[lo+i].Time.After(to)
+	})
+	return append(out, tail[lo:hi]...), nil
 }
 
 // Tail returns up to n most recent entries, oldest first, reaching into

@@ -94,7 +94,9 @@ type segMeta struct {
 	actors  bloom
 }
 
-func (m *segMeta) observe(e Entry, encodedLen int) {
+// observe folds one entry into the summary. The entry's encoded bytes are
+// added by the caller, which knows them per entry or per batch.
+func (m *segMeta) observe(e Entry) {
 	ns := e.Time.UnixNano()
 	if m.count == 0 {
 		m.minSeq, m.maxSeq = e.Seq, e.Seq
@@ -114,7 +116,6 @@ func (m *segMeta) observe(e Entry, encodedLen int) {
 		}
 	}
 	m.count++
-	m.bytes += int64(encodedLen)
 	m.actors.add(e.Actor)
 }
 
@@ -186,31 +187,24 @@ func decodeFooter(p []byte) (segMeta, error) {
 	return m, nil
 }
 
-// encodeBatch renders a group-commit batch as one 'E' frame payload,
-// returning each entry's encoded length alongside so accounting never
-// pays a second encode.
-func encodeBatch(batch []Entry) ([]byte, []int) {
-	n := 1
-	lines := make([][]byte, len(batch))
-	lens := make([]int, len(batch))
+// encodeBatch renders a batch as one 'E' frame payload into dst[:0] and
+// returns it. Compaction and torn-tail repair use it with a buffer of
+// their own: they run concurrently with the writer, whose frame buffer
+// (segmentStore.frame) they must never touch.
+func encodeBatch(dst []byte, batch []Entry) []byte {
+	dst = append(dst[:0], frameEntries)
 	for i, e := range batch {
-		lines[i] = e.encode()
-		lens[i] = len(lines[i])
-		n += lens[i] + 1
-	}
-	out := make([]byte, 0, n)
-	out = append(out, frameEntries)
-	for i, line := range lines {
 		if i > 0 {
-			out = append(out, '\n')
+			dst = append(dst, '\n')
 		}
-		out = append(out, line...)
+		dst = appendEntry(dst, e)
 	}
-	return out, lens
+	return dst
 }
 
-// decodeBatch parses an 'E' frame payload back into entries.
-func decodeBatch(p []byte, fn func(Entry) error) error {
+// decodeBatch parses an 'E' frame payload back into entries, handing fn
+// each entry with the length of its encoded line.
+func decodeBatch(p []byte, fn func(e Entry, encodedLen int) error) error {
 	if len(p) == 0 || p[0] != frameEntries {
 		return fmt.Errorf("audit: unknown frame type: %w", ErrCorruptSegment)
 	}
@@ -226,7 +220,7 @@ func decodeBatch(p []byte, fn func(Entry) error) error {
 		if err != nil {
 			return err
 		}
-		if err := fn(e); err != nil {
+		if err := fn(e, len(line)); err != nil {
 			return err
 		}
 	}
@@ -260,6 +254,10 @@ type segmentStore struct {
 	compactMu  sync.RWMutex
 	compactRun sync.Mutex
 	sealGen    atomic.Int64
+
+	// frame is append's batch-frame buffer, reused across batches. Only
+	// append touches it, and append never runs concurrently with itself.
+	frame []byte
 }
 
 func segPath(base string, n int) string {
@@ -315,9 +313,10 @@ const (
 	tornAny
 )
 
-// replaySegment replays one .seg file's entries in order. It reports
-// whether a tolerated tear ended the segment early.
-func replaySegment(path string, key []byte, mode tornMode, fn func(Entry) error) (torn bool, err error) {
+// replaySegment replays one .seg file's entries in order, each with its
+// encoded length. It reports whether a tolerated tear ended the segment
+// early.
+func replaySegment(path string, key []byte, mode tornMode, fn func(e Entry, encodedLen int) error) (torn bool, err error) {
 	intact := 0
 	err = securefs.Replay(path, securefs.Options{Key: key}, func(p []byte) error {
 		if err := decodeBatch(p, fn); err != nil {
@@ -350,8 +349,9 @@ func replaySegment(path string, key []byte, mode tornMode, fn func(Entry) error)
 func rebuildSegment(path string, key []byte, mode tornMode) (segMeta, error) {
 	m := segMeta{path: path}
 	var entries []Entry
-	torn, err := replaySegment(path, key, mode, func(e Entry) error {
-		m.observe(e, len(e.encode()))
+	torn, err := replaySegment(path, key, mode, func(e Entry, n int) error {
+		m.observe(e)
+		m.bytes += int64(n)
 		entries = append(entries, e)
 		return nil
 	})
@@ -391,9 +391,10 @@ func writeSegmentFile(path string, key []byte, entries []Entry) error {
 		return err
 	}
 	const chunk = 512
+	var frame []byte
 	for i := 0; i < len(entries); i += chunk {
 		end := min(i+chunk, len(entries))
-		frame, _ := encodeBatch(entries[i:end])
+		frame = encodeBatch(frame, entries[i:end])
 		if err := f.AppendFrame(frame); err != nil {
 			f.Close()
 			return err
@@ -478,7 +479,9 @@ func (s *segmentStore) openActive() error {
 		return err
 	}
 	s.active = f
+	s.mu.Lock()
 	s.actRef = segMeta{path: path}
+	s.mu.Unlock()
 	return nil
 }
 
@@ -486,54 +489,55 @@ func (s *segmentStore) openActive() error {
 // could otherwise encode past securefs's frame ceiling — writes are not
 // size-checked, so the oversized frame would poison every later replay
 // of the segment. One chunk per budget keeps frames far below the limit
-// while preserving the batch's single logical group commit.
+// while preserving the batch's single logical group commit. It also
+// bounds the frame buffer append keeps between batches.
 const frameBudget = 1 << 20
 
 // append writes one batch to the active segment (chunked into
-// budget-bounded frames; each entry is encoded exactly once) and rolls
-// the segment when it outgrows maxBytes. Called only by the writer
-// goroutine (or the inline sync path), never concurrently with itself.
+// budget-bounded frames; each entry is encoded exactly once, straight
+// into the frame) and rolls the segment when it outgrows maxBytes.
+// Called only by the writer goroutine (or the inline sync path under the
+// sequencer lock), never concurrently with itself — so it owns s.frame.
 func (s *segmentStore) append(batch []Entry) (int64, error) {
 	s.actMu.Lock()
 	f := s.active
 	s.actMu.Unlock()
-	lines := make([][]byte, len(batch))
-	lens := make([]int, len(batch))
-	for i, e := range batch {
-		lines[i] = e.encode()
-		lens[i] = len(lines[i])
-	}
+	frame := append(s.frame[:0], frameEntries)
 	var encoded int64
-	frame := make([]byte, 1, frameBudget/4)
-	frame[0] = frameEntries
-	flushFrame := func() error {
-		if len(frame) <= 1 {
-			return nil
+	for _, e := range batch {
+		mark := len(frame)
+		if mark > 1 {
+			frame = append(frame, '\n')
 		}
-		err := f.AppendFrame(frame)
-		frame = frame[:1]
-		return err
-	}
-	for i, line := range lines {
-		if len(frame) > 1 {
-			if len(frame)+lens[i]+1 > frameBudget {
-				if err := flushFrame(); err != nil {
-					return encoded, err
-				}
-			} else {
-				frame = append(frame, '\n')
+		start := len(frame)
+		frame = appendEntry(frame, e)
+		encoded += int64(len(frame) - start)
+		if mark > 1 && len(frame) > frameBudget {
+			// The entry overflows the budget: ship the frame before it,
+			// and the entry opens the next frame.
+			if err := f.AppendFrame(frame[:mark]); err != nil {
+				return encoded, err
 			}
+			frame = frame[:1+copy(frame[1:], frame[start:])]
 		}
-		frame = append(frame, line...)
 	}
-	if err := flushFrame(); err != nil {
-		return encoded, err
+	if len(frame) > 1 {
+		if err := f.AppendFrame(frame); err != nil {
+			return encoded, err
+		}
 	}
+	// Keep the buffer for the next batch unless a near-budget batch or
+	// one huge entry grew it past the budget: that is rare, and pinning
+	// it would hold the memory for good.
+	if cap(frame) > frameBudget {
+		frame = nil
+	}
+	s.frame = frame
 	s.mu.Lock()
-	for i, e := range batch {
-		encoded += int64(lens[i])
-		s.actRef.observe(e, lens[i])
+	for _, e := range batch {
+		s.actRef.observe(e)
 	}
+	s.actRef.bytes += encoded
 	roll := s.actRef.bytes >= s.maxBytes
 	s.mu.Unlock()
 	if roll {
@@ -568,11 +572,14 @@ func (s *segmentStore) seal() error {
 		// leaving a zero-entry segment behind.
 		os.Remove(meta.path)
 	}
+	// The sealed list gains the segment and actRef lets go of it in one
+	// critical section: a snapshot in between would replay it twice.
 	s.mu.Lock()
 	if meta.count > 0 {
 		s.sealed = append(s.sealed, meta)
 	}
 	s.actIdx++
+	s.actRef = segMeta{path: segPath(s.base, s.actIdx)}
 	s.mu.Unlock()
 	s.sealGen.Add(1)
 	return s.openActive()
@@ -630,9 +637,10 @@ func (s *segmentStore) compact(cutoffNs int64) (dropped int64, changed bool, err
 			// Boundary segment: collect the surviving suffix. Sealed
 			// segments are strict — corruption here is real damage, and
 			// compaction must not quietly shred a damaged trail.
-			if _, err := replaySegment(m.path, s.key, tornStrict, func(e Entry) error {
+			if _, err := replaySegment(m.path, s.key, tornStrict, func(e Entry, n int) error {
 				if e.Time.UnixNano() >= cutoffNs {
-					nm.observe(e, len(e.encode()))
+					nm.observe(e)
+					nm.bytes += int64(n)
 					kept = append(kept, e)
 				}
 				return nil
@@ -759,7 +767,7 @@ func (s *segmentStore) read(fromSeq, toSeq uint64, prune func(*segMeta) bool, ke
 				return err
 			}
 		}
-		_, err := replaySegment(m.path, s.key, mode, func(e Entry) error {
+		_, err := replaySegment(m.path, s.key, mode, func(e Entry, _ int) error {
 			if e.Seq >= fromSeq && e.Seq <= toSeq && keep(e) {
 				fn(e)
 			}
@@ -864,7 +872,7 @@ func Replay(path string, key []byte, fn func(Entry) error) error {
 		if i == len(nums)-1 {
 			mode = tornTail
 		}
-		if _, err := replaySegment(segPath(path, n), key, mode, fn); err != nil {
+		if _, err := replaySegment(segPath(path, n), key, mode, func(e Entry, _ int) error { return fn(e) }); err != nil {
 			return err
 		}
 	}
